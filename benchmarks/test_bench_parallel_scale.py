@@ -115,7 +115,7 @@ def test_bench_parallel_scale(results_dir, benchmark):
         "pool_wall_s": pool_wall,
         "speedup": speedup,
         "min_speedup": MIN_SPEEDUP,
-        "speedup_gated": cpus < WORKERS,
+        "speedup_asserted": cpus >= WORKERS,
         "stage1_prob_lookups": lookups,
         "stage1_prob_hits": info["prob_hits"],
         "stage1_cache_hit_rate": hit_rate,

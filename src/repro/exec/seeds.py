@@ -37,6 +37,12 @@ __all__ = ["SeedTree", "derive_seed", "encode_component"]
 #: Number of 32-bit words in a derived seed (128 bits total).
 _SEED_WORDS = 4
 
+#: Memoized spawn-key words, keyed by the tagged component string. Fault
+#: realization hashes the same few components thousands of times per run.
+_WORDS: dict[str, int] = {}
+#: The memo is dropped when it grows past this many entries.
+_WORDS_LIMIT = 1 << 16
+
 
 def encode_component(component: int | str) -> int:
     """Hash one path component to a stable 64-bit spawn-key word.
@@ -52,8 +58,14 @@ def encode_component(component: int | str) -> int:
             f"{type(component).__name__}"
         )
     tag = f"i:{component}" if isinstance(component, int) else f"s:{component}"
-    digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    word = _WORDS.get(tag)
+    if word is None:
+        digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+        word = int.from_bytes(digest, "big")
+        if len(_WORDS) >= _WORDS_LIMIT:
+            _WORDS.clear()
+        _WORDS[tag] = word
+    return word
 
 
 class SeedTree:

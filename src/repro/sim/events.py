@@ -9,21 +9,24 @@ replay is a hard requirement for reproducible experiments).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import SimulationError
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled occurrence. Ordering: time, then insertion sequence."""
+class Event(NamedTuple):
+    """One scheduled occurrence. Ordering: time, then insertion sequence.
+
+    A plain tuple, so the heap compares events in C. ``seq`` is unique per
+    queue, so two events never tie on ``(time, seq)`` and ``payload`` is
+    never compared.
+    """
 
     time: float
     seq: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None
 
 
 class EventQueue:
@@ -37,7 +40,7 @@ class EventQueue:
         """Schedule ``payload`` at ``time``; returns the created event."""
         if time < 0:
             raise SimulationError(f"event time must be >= 0, got {time}")
-        event = Event(time=time, seq=self._seq, payload=payload)
+        event = Event(time, self._seq, payload)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event

@@ -61,7 +61,9 @@ class SimWorker:
         dedicated_total = float(dedicated.sum())
         boundaries = self.availability.finish_times(start, np.cumsum(dedicated))
         finish = float(boundaries[-1])
-        wall = np.diff(np.concatenate(([start], boundaries)))
+        wall = np.empty_like(boundaries)
+        wall[0] = boundaries[0] - start
+        np.subtract(boundaries[1:], boundaries[:-1], out=wall[1:])
         return ChunkExecution(
             finish_time=finish,
             dedicated_time=dedicated_total,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,7 @@ class AvailabilityProcess:
         if t < 0:
             raise SimulationError(f"time must be non-negative, got {t}")
         self._extend_to(t)
-        idx = int(np.searchsorted(self._ends, t, side="right"))
-        idx = min(idx, len(self._levels) - 1)
+        idx = min(bisect_right(self._ends, t), len(self._levels) - 1)
         return self._levels[idx]
 
     def rate_at(self, t: float) -> float:
@@ -129,7 +129,7 @@ class AvailabilityProcess:
         t = start
         remaining = work
         self._extend_to(t)
-        idx = int(np.searchsorted(self._ends, t, side="right"))
+        idx = bisect_right(self._ends, t)
         while True:
             if idx >= len(self._levels):
                 self._extend_to(self._ends[-1] if self._ends else 0.0)
@@ -156,20 +156,31 @@ class AvailabilityProcess:
         works = np.asarray(cumulative_works, dtype=np.float64)
         if works.size == 0:
             return np.empty(0)
-        if np.any(np.diff(works) < 0):
+        if (works[1:] < works[:-1]).any():
             raise SimulationError("cumulative_works must be non-decreasing")
         if works[0] < 0:
             raise SimulationError("cumulative work must be non-negative")
+        if not start >= 0:
+            raise SimulationError(f"start time must be non-negative, got {start}")
         total = float(works[-1])
+        # Fast path: the whole chunk completes inside the segment holding
+        # `start`. The general path below then puts every amount in its
+        # first segment, where `starts[0] == start` and `cum_work[0] == 0`,
+        # so this is the same arithmetic and the same bits.
+        self._extend_to(start)
+        k = bisect_right(self._ends, start)
+        rate = self._capacity * self._levels[k]
+        if total <= rate * (self._ends[k] - start):
+            return start + works / rate
         # Materialize segments through the overall finish.
         overall_finish = self.finish_time(start, total)
         self._extend_to(overall_finish)
         ends, levels = self._as_arrays()
         rates = self._capacity * levels
-        first = int(np.searchsorted(ends, start, side="right"))
-        # Cumulative work delivered by each segment end (from `start` on).
-        seg_ends = ends[first:]
-        seg_rates = rates[first:]
+        # Cumulative work delivered by each segment end (from `start` on);
+        # extending the timeline only appends, so `k` still holds `start`.
+        seg_ends = ends[k:]
+        seg_rates = rates[k:]
         starts = np.concatenate(([start], seg_ends[:-1]))
         seg_work = seg_rates * (seg_ends - starts)
         cum_work = np.concatenate(([0.0], np.cumsum(seg_work)))
@@ -187,7 +198,7 @@ class AvailabilityProcess:
         self._extend_to(t1)
         total = 0.0
         t = t0
-        idx = int(np.searchsorted(self._ends, t, side="right"))
+        idx = bisect_right(self._ends, t)
         while t < t1 - _EPS:
             seg_end = min(self._ends[idx], t1)
             total += self._capacity * self._levels[idx] * (seg_end - t)

@@ -1,5 +1,10 @@
 """Unit tests of the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -514,3 +519,15 @@ class TestWatchCommand:
     def test_watch_unreachable_url_exits_2(self, capsys):
         assert main(["watch", "http://127.0.0.1:1/"]) == 2
         assert "cannot watch" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs about a second to import; no paper command needs it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Unit tests of the deterministic seed tree (repro.exec.seeds)."""
 
+import hashlib
+
 import pytest
 
 from repro.exec import SeedTree, derive_seed, encode_component
@@ -21,6 +23,15 @@ class TestEncodeComponent:
             encode_component(True)
         with pytest.raises(TypeError):
             encode_component(("a",))
+
+    def test_memoized_words_are_the_blake2b_words(self):
+        for component, tag in ((7, b"i:7"), ("7", b"s:7"), ("crash", b"s:crash")):
+            want = int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
+            assert encode_component(component) == want  # may fill the memo
+            assert encode_component(component) == want  # served from it
+        encode_component(1)
+        with pytest.raises(TypeError):
+            encode_component(True)
 
 
 class TestSeedTree:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PMFError
 from repro.pmf import (
+    PMF,
     deterministic,
     discretized_normal,
     from_mapping,
@@ -100,6 +101,37 @@ class TestDiscretizedNormal:
         # check a textbook value: Pr(X <= mu) = 0.5.
         pmf = discretized_normal(8000.0, 800.0)
         assert pmf.prob_leq(8000.0) == pytest.approx(0.5, abs=5e-3)
+
+
+def scipy_stats_discretized_normal(mean, std, *, n_points, clip_at_zero):
+    """The construction ``discretized_normal`` used with ``scipy.stats``."""
+    from scipy import stats
+
+    lo, hi = mean - 5.0 * std, mean + 5.0 * std
+    if clip_at_zero:
+        lo = max(lo, 0.0)
+    grid = np.linspace(lo, hi, n_points)
+    half = (grid[1] - grid[0]) / 2.0
+    edges = np.concatenate(([lo - half], (grid[:-1] + grid[1:]) / 2.0, [hi + half]))
+    cdf = stats.norm.cdf(edges, loc=mean, scale=std)
+    return PMF(grid, np.diff(cdf), normalize=True)
+
+
+@pytest.mark.parametrize("clip_at_zero", [True, False])
+@pytest.mark.parametrize("n_points", [2, 11, 501])
+def test_discretized_normal_matches_scipy_stats_bitwise(n_points, clip_at_zero):
+    for mean in (-3.0, 0.0, 0.37, 1.0, 100.0, 1800.0, 8000.0, 1.5e6):
+        for std in (1e-3, 0.1, 1.0, 30.0, 180.0, 800.0):
+            if clip_at_zero and mean + 5.0 * std <= max(mean - 5.0 * std, 0.0):
+                continue
+            got = discretized_normal(
+                mean, std, n_points=n_points, clip_at_zero=clip_at_zero
+            )
+            want = scipy_stats_discretized_normal(
+                mean, std, n_points=n_points, clip_at_zero=clip_at_zero
+            )
+            assert np.array_equal(got.values, want.values), (mean, std)
+            assert np.array_equal(got.probs, want.probs), (mean, std)
 
 
 class TestSampledNormal:

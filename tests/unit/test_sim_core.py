@@ -46,6 +46,27 @@ class TestEventQueue:
         assert Event(1.0, 0) < Event(2.0, 0)
         assert Event(1.0, 0) < Event(1.0, 1)
 
+    def test_payloads_never_compared(self):
+        """Equal-time events pop FIFO even if their payloads refuse to compare."""
+
+        class Opaque:
+            def __init__(self, name):
+                self.name = name
+
+            def __eq__(self, other):
+                raise AssertionError("payload compared")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __ne__ = __eq__
+            __hash__ = object.__hash__
+
+        q = EventQueue()
+        for name in "abcde":
+            q.push(1.0, Opaque(name))
+        q.push(0.5, Opaque("first"))
+        q.push(2.0, Opaque("last"))
+        popped = [q.pop().payload.name for _ in range(len(q))]
+        assert popped == ["first", "a", "b", "c", "d", "e", "last"]
+
 
 class TestSimulator:
     def test_runs_in_order(self):
