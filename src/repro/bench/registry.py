@@ -31,8 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..errors import BenchError
-from ..obs import best_of, obs_enabled, perf_now, span
-from ..obs import event as obs_event
+from ..obs import best_of, span
 
 __all__ = [
     "BENCHMARKS",
@@ -143,10 +142,6 @@ def run_benchmark(
     with span("bench.case", benchmark=spec.name, rounds=n):
         spec.fn()  # warmup
         best, mean = best_of(spec.fn, rounds=n)
-    if obs_enabled():
-        # One low-frequency heartbeat per completed benchmark, so a
-        # live subscriber sees a bench sweep advance case by case.
-        obs_event("bench.progress", perf_now(), name=spec.name, rounds=n)
     return {
         "name": spec.name,
         "best_s": best,

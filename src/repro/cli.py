@@ -62,7 +62,6 @@ from .obs import (
     metrics_snapshot,
     obs_enabled,
     observed,
-    perf_now,
     profile_from_spans,
     profiling_env_interval,
     recording,
@@ -73,7 +72,6 @@ from .obs import (
     write_chrome_trace,
 )
 from .obs.prof import DEFAULT_SAMPLING_INTERVAL
-from .obs.serve import ENV_SERVE, port_from_env
 from .paper import (
     data,
     figure_series,
@@ -133,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exported as speedscope JSON (profile.json inside --run-dir, "
         f"else repro-profile.json; ${ENV_PROF}=1 or an interval in "
         "seconds is the flagless equivalent)",
-    )
-    parser.add_argument(
-        "--serve", metavar="PORT", type=int, default=None,
-        help="stream live telemetry over HTTP while the command runs: "
-        "/healthz, /metrics (JSON or Prometheus text), /events (SSE), "
-        "/runs; 0 binds an ephemeral port "
-        f"(${ENV_SERVE} is the flagless equivalent); "
-        "follow along with 'repro watch http://127.0.0.1:PORT'",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,24 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the markdown to PATH instead of stdout",
     )
 
-    watch = sub.add_parser(
-        "watch",
-        help="live terminal view of a --serve endpoint, or a one-shot "
-        "replay of a recorded run's trace",
-    )
-    watch.add_argument(
-        "target",
-        help="an http://host:port printed by a --serve run (live view), "
-        "or a run directory / run id under --run-dir (replay)",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="minimum seconds between live re-renders (default: %(default)s)",
-    )
-    watch.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="stop watching after this long (default: until the stream ends)",
-    )
     return parser
 
 
@@ -835,53 +807,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    """Live view of a --serve endpoint, or a one-shot trace replay."""
-    from .obs.live import LiveView
-
-    target = str(args.target)
-    if target.startswith(("http://", "https://")):
-        return _watch_live(
-            target, interval=args.interval, duration=args.duration
-        )
-    run = resolve_run(target, base_dir=_run_base(args))
-    view = LiveView()
-    for record in run.trace_records():
-        view.apply_trace_record(record)
-    _print(view.render())
-    return 0
-
-
-def _watch_live(url: str, *, interval: float, duration: float | None) -> int:
-    """Follow an SSE stream, re-rendering the view at most per interval."""
-    from .obs.live import LiveView
-    from .obs.serve import stream_events
-
-    view = LiveView()
-    events_url = url.rstrip("/") + "/events?since=0"
-    started = perf_now()
-    last_render = started - interval
-    try:
-        for record in stream_events(events_url):
-            view.apply(record)
-            now = perf_now()
-            if now - last_render >= interval:
-                _print(view.render())
-                last_render = now
-            if duration is not None and now - started >= duration:
-                break
-    except OSError as exc:
-        console(f"error: cannot watch {url}: {exc}")
-        return 2
-    _print(view.render())
-    return 0
-
-
 _ANALYSIS_COMMANDS = {
     "runs": _cmd_runs,
     "report": _cmd_report,
     "compare": _cmd_compare,
-    "watch": _cmd_watch,
 }
 
 
@@ -940,55 +869,11 @@ def _dispatch_profiled(
     return code
 
 
-def _serve_port(args) -> int | None:
-    """The live-telemetry port: ``--serve`` or ``$REPRO_SERVE``, or None."""
-    if args.serve is not None:
-        return int(args.serve)
-    return port_from_env(os.environ.get(ENV_SERVE))
-
-
-def _dispatch_served(
-    args, backend: ExecutionBackend, session: Observation,
-    interval: float | None, serve_port: int | None,
-) -> int:
-    """Dispatch, streaming live telemetry over HTTP when requested.
-
-    The server (and the telemetry bus feeding it) lives strictly inside
-    the dispatch: it closes — flushing bus counters and publishing the
-    final metrics snapshot — *before* the recorder finalizes, so the
-    last snapshot on the wire matches the run directory's metrics.
-    """
-    if serve_port is None:
-        return _dispatch_profiled(args, backend, session, interval)
-    from .obs import live as obs_live
-    from .obs import serve as obs_serve
-
-    bus = obs_live.install_bus(session)
-    try:
-        server = obs_serve.ObsServer(
-            bus, port=serve_port, run_base=_run_base(args)
-        ).start()
-    except Exception:
-        obs_live.uninstall_bus(session)
-        raise
-    console(f"serving live telemetry at {server.url}")
-    try:
-        return _dispatch_profiled(args, backend, session, interval)
-    finally:
-        server.close(session)
-        obs_live.uninstall_bus(session)
-
-
 def _run(args, recorder: RunRecorder | None = None) -> int:
-    """Dispatch one command, optionally observed/recorded/served."""
+    """Dispatch one command, optionally observed/recorded."""
     interval = _profiling_interval(args)
-    serve_port = _serve_port(args)
     observe = bool(
-        args.trace
-        or args.metrics
-        or recorder is not None
-        or interval is not None
-        or serve_port is not None
+        args.trace or args.metrics or recorder is not None or interval is not None
     )
     with get_backend(args.workers) as backend:
         if not observe:
@@ -1002,17 +887,15 @@ def _run(args, recorder: RunRecorder | None = None) -> int:
                 # two sessions.
                 session = current()
                 assert session is not None
-                code = _dispatch_served(
-                    args, backend, session, interval, serve_port
-                )
+                code = _dispatch_profiled(args, backend, session, interval)
                 _finish_observed(args)
                 if args.trace:
                     session.export(args.trace)
                     console(f"wrote trace to {args.trace}")
             else:
                 with observed(trace_path=args.trace) as session:
-                    code = _dispatch_served(
-                        args, backend, session, interval, serve_port
+                    code = _dispatch_profiled(
+                        args, backend, session, interval
                     )
                     _finish_observed(args)
                 if args.trace:

@@ -114,24 +114,6 @@ EVENTS: tuple[EventSpec, ...] = (
         required=("worker", "applied"),
         description="a blackout/slowdown fault stretched a chunk",
     ),
-    # Rate-throttled progress heartbeats for the live telemetry bus
-    # (repro.obs.live). Emitted at most a few times per second so a
-    # subscriber can render progress without drinking the full trace.
-    EventSpec(
-        "sim.progress",
-        required=("done", "total"),
-        description="loop-simulator heartbeat (iterations done/total)",
-    ),
-    EventSpec(
-        "ra.progress",
-        required=("done", "total"),
-        description="stage-I evaluation heartbeat (candidates done/total)",
-    ),
-    EventSpec(
-        "bench.progress",
-        required=("name", "rounds"),
-        description="bench harness heartbeat (one benchmark completed)",
-    ),
 )
 
 #: The fault-overlay subset a timeline renders as instant events.
@@ -145,9 +127,6 @@ METRICS: tuple[MetricSpec, ...] = (
     # simulator
     MetricSpec("sim.apps", "counter", "stage-II application simulations"),
     MetricSpec("sim.iterations", "counter", "parallel iterations executed"),
-    MetricSpec(
-        "sim.engine.events", "counter", "discrete events processed per run"
-    ),
     MetricSpec(
         "sim.loop.events",
         "counter",
@@ -239,21 +218,6 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         "exec.retries", "counter", "tasks re-submitted after a pool rebuild"
     ),
-    # live telemetry bus
-    MetricSpec(
-        "obs.live.events", "counter", "records published on the live bus"
-    ),
-    MetricSpec(
-        "obs.live.dropped",
-        "counter",
-        "records dropped by slow live subscribers",
-    ),
-    MetricSpec(
-        "obs.live.snapshots", "counter", "metrics snapshots published live"
-    ),
-    MetricSpec(
-        "obs.live.subscribers", "gauge", "live subscribers currently attached"
-    ),
 )
 
 # ---------------------------------------------------------------------- spans
@@ -265,9 +229,7 @@ SPANS: tuple[SpanSpec, ...] = (
     SpanSpec("study.case", "one availability case of the study grid"),
     SpanSpec("sim.replicate", "replicated simulations of one app"),
     SpanSpec("sim.app", "one application simulation"),
-    SpanSpec("sim.engine.run", "the discrete-event loop of one run"),
     SpanSpec("bench.case", "one benchmark case measurement"),
-    SpanSpec("serve.request", "one HTTP request served by repro.obs.serve"),
 )
 
 

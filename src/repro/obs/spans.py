@@ -203,7 +203,6 @@ class Tracer:
         self._finished: list[Span] = []
         self._events: list[Event] = []
         self._next_id = 1
-        self._event_sink: Callable[[Event], None] | None = None
 
     # ------------------------------------------------------------------ state
 
@@ -226,19 +225,6 @@ class Tracer:
         """Drop all finished spans and events (open spans are untouched)."""
         self._finished.clear()
         self._events.clear()
-
-    def set_event_sink(
-        self, sink: Callable[[Event], None] | None
-    ) -> None:
-        """Mirror every new :class:`Event` into ``sink`` as it is recorded.
-
-        Used by :mod:`repro.obs.live` to feed the telemetry bus: the sink
-        sees events from :meth:`event` and from :meth:`adopt_records` (so
-        worker-side events surface on the bus when the parent adopts
-        them). One sink at a time; pass None to detach. The sink must not
-        raise and must not call back into the tracer.
-        """
-        self._event_sink = sink
 
     # ------------------------------------------------------------------ spans
 
@@ -303,8 +289,6 @@ class Tracer:
         )
         self._next_id += 1
         self._events.append(event)
-        if self._event_sink is not None:
-            self._event_sink(event)
         return event
 
     # ------------------------------------------------------------------ merge
@@ -397,8 +381,6 @@ class Tracer:
             )
             self._next_id += 1
             self._events.append(event)
-            if self._event_sink is not None:
-                self._event_sink(event)
         return adopted
 
     # ----------------------------------------------------------------- export

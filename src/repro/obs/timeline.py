@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import ObservabilityError
+from ..metrics import cov_imbalance
 
 #: Event names the simulator emits that a timeline overlays. Declared in
 #: the trace-schema registry; re-exported here for consumers.
@@ -193,14 +194,10 @@ class AppTimeline:
         0 means perfect balance — the paper's DLS quality measure,
         identical to :meth:`repro.sim.results.AppRunResult.load_imbalance`.
         """
-        finishes = list(self.worker_finish_times().values())
+        finishes = self.worker_finish_times()
         if len(finishes) <= 1:
             return 0.0
-        mean = sum(finishes) / len(finishes)
-        if mean <= 0:
-            return 0.0
-        var = sum((f - mean) ** 2 for f in finishes) / len(finishes)
-        return math.sqrt(var) / mean
+        return cov_imbalance(finishes.values())
 
     def utilization(self) -> float:
         """Fraction of worker-time inside the loop spent computing."""

@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate for stage II."""
 
 from .events import Event, EventQueue
-from .engine import Simulator
 from .worker import SimWorker, ChunkExecution
 from .results import (
     ChunkRecord,
@@ -33,7 +32,6 @@ from .planning import ReplicationPlan, plan_replications
 __all__ = [
     "Event",
     "EventQueue",
-    "Simulator",
     "SimWorker",
     "ChunkExecution",
     "ChunkRecord",

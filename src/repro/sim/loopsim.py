@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..apps import Application
-from ..contracts import check_iteration_conservation, contracts_enabled
+from ..contracts import (
+    check_event_monotone,
+    check_iteration_conservation,
+    contracts_enabled,
+)
 from ..dls import DLSTechnique, SchedulingSession, WorkerState
 from ..errors import SimulationError
 from ..exec.backends import ExecutionBackend, SerialBackend
@@ -29,7 +33,6 @@ from ..exec.tasks import ReplicateTask
 from ..faults import FaultInjector, FaultPlan, degraded_boundaries
 from ..obs import event as obs_event
 from ..obs import incr, obs_enabled, observe_value, span
-from ..obs.live import heartbeat_due
 from ..rng import spawn_rngs
 from ..system import (
     AvailabilityModel,
@@ -282,8 +285,13 @@ def run_parallel_loop(
 
     by_id = {w.worker_id: w for w in workers}
     loop_events = 0
+    now = start_time
+    # Read once: with contracts off the hot loop pays no extra call.
+    validate = contracts_enabled()
     while queue:
         event = queue.pop()
+        if validate:
+            check_event_monotone(now, event.time)
         loop_events += 1
         worker: SimWorker = event.payload
         now = event.time
@@ -380,17 +388,6 @@ def run_parallel_loop(
         finish_times[wid] = finish
         if obs_enabled():
             _chunk_event(record)
-            # Rate-throttled heartbeat for live subscribers: bounded by
-            # wall time, not by iteration count, so a huge run stays a
-            # few events per second on the bus.
-            if heartbeat_due("sim.progress"):
-                obs_event(
-                    "sim.progress",
-                    finish,
-                    done=executed,
-                    total=session.n_iterations,
-                    technique=session.label or "",
-                )
         queue.push(finish, worker)
     if obs_enabled():
         # One bulk increment per loop, not one per event: the inner loop

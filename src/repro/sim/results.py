@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics import cov_imbalance
+
 __all__ = [
     "ChunkRecord",
     "MasterFailover",
@@ -84,11 +86,9 @@ class AppRunResult:
 
         0 means perfect balance; the classic DLS quality metric.
         """
-        finishes = np.array(list(self.worker_finish_times.values()))
-        if finishes.size <= 1:
+        if len(self.worker_finish_times) <= 1:
             return 0.0
-        mean = finishes.mean()
-        return float(finishes.std() / mean) if mean > 0 else 0.0
+        return cov_imbalance(self.worker_finish_times.values())
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,7 @@ class TestTimelineRoundTrip:
             assert timeline.worker_finish_times() == pytest.approx(
                 expected.worker_finish_times()
             )
-            assert timeline.load_imbalance() == pytest.approx(
-                result.load_imbalance()
-            )
+            assert timeline.load_imbalance() == result.load_imbalance()
             stats = timeline.stats()
             assert stats.crashes == len(result.crashed_workers)
             assert stats.requeued == result.rescheduled_iterations

@@ -449,83 +449,18 @@ class TestProfileFlag:
         assert doc["profiles"]
 
 
-class TestWatchCommand:
-    @pytest.fixture
-    def chaos_run(self, tmp_path, capsys):
-        """One recorded faulted scenario run (has fault events to view)."""
-        base = tmp_path / "runs"
-        assert main(
-            ["--run-dir", str(base), "scenario", "1",
-             "--replications", "1", "--seed", "1",
-             "--faults", "--fault-rate", "3e-4"]
-        ) == 0
-        capsys.readouterr()
-        from repro.obs import RunStore
+@pytest.mark.parametrize(
+    "module", ["scipy.stats", "http.server", "urllib.request"]
+)
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    """Start-up stays lean: no paper command needs these modules.
 
-        (run_id,) = RunStore(base).run_ids()
-        return base, run_id
-
-    def test_watch_replays_a_run_dir(self, chaos_run, capsys):
-        base, run_id = chaos_run
-        assert main(["--run-dir", str(base), "watch", run_id]) == 0
-        out = capsys.readouterr().out
-        assert "live:" in out
-        assert "faults:" in out
-        assert "sim.chunk" in out
-
-    def test_watch_accepts_a_run_path(self, chaos_run, capsys):
-        base, run_id = chaos_run
-        assert main(["watch", str(base / run_id)]) == 0
-        assert "faults:" in capsys.readouterr().out
-
-    def test_watch_unknown_run_errors(self, tmp_path, capsys):
-        assert main(
-            ["--run-dir", str(tmp_path / "none"), "watch", "missing"]
-        ) == 2
-        assert "error:" in capsys.readouterr().out
-
-    def test_watch_live_url_streams_until_close(self, capsys):
-        import threading
-        import time
-
-        from repro.obs.live import TelemetryBus
-        from repro.obs.serve import ObsServer
-
-        bus = TelemetryBus()
-        server = ObsServer(bus, port=0, snapshot_interval=3600.0).start()
-        try:
-            bus.publish_event(
-                "sim.progress", 1.0,
-                {"done": 5, "total": 10, "technique": "FAC"},
-            )
-            bus.publish_event("sim.crash", 2.0, {"worker": 0, "lost": 1})
-
-            def close_soon():
-                time.sleep(0.4)
-                server.close()
-
-            closer = threading.Thread(target=close_soon)
-            closer.start()
-            code = main(["watch", server.url])
-            closer.join(timeout=10.0)
-        finally:
-            server.close()
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "FAC" in out
-        assert "5/10" in out
-        assert "faults: 1" in out
-
-    def test_watch_unreachable_url_exits_2(self, capsys):
-        assert main(["watch", "http://127.0.0.1:1/"]) == 2
-        assert "cannot watch" in capsys.readouterr().out
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` costs about a second to import; no paper command needs it."""
+    ``scipy.stats`` costs about a second to import; the HTTP modules pull
+    in ``ssl`` and ``email`` besides.
+    """
     src = Path(__file__).resolve().parents[2] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, repro.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,

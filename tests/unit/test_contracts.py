@@ -15,9 +15,10 @@ from repro.contracts import (
     require,
     validation,
 )
+from repro.dls import make_technique
 from repro.pmf import PMF, convolve
 from repro.ra import Allocation, StageIEvaluator
-from repro.sim.engine import Simulator
+from repro.sim import EventQueue, simulate_application
 from repro.system import ProcessorGroup
 
 
@@ -135,14 +136,29 @@ class TestSpanMonotone:
                 with tracer.span("outer"):
                     pass
 
-    def test_simulator_runs_hot(self):
+    def test_loop_simulation_runs_hot(self, tiny_app, dedicated_system):
+        group = dedicated_system.group("fast", 4)
+        fac = make_technique("FAC")
+        cold = simulate_application(tiny_app, group, fac, seed=0)
         with validation(True):
-            sim = Simulator()
-            seen = []
-            sim.schedule_at(1.0, lambda s: seen.append(s.now))
-            sim.schedule_at(0.5, lambda s: seen.append(s.now))
-            sim.run()
-            assert seen == [0.5, 1.0]
+            hot = simulate_application(tiny_app, group, fac, seed=0)
+        assert hot.makespan == cold.makespan
+        assert hot.chunks == cold.chunks
+
+    def test_loop_trips_on_backwards_event(
+        self, tiny_app, dedicated_system, monkeypatch
+    ):
+        real_pop = EventQueue.pop
+
+        def backwards_pop(queue):
+            event = real_pop(queue)
+            return event._replace(time=event.time - 1.0)
+
+        monkeypatch.setattr(EventQueue, "pop", backwards_pop)
+        group = dedicated_system.group("fast", 4)
+        with validation(True):
+            with pytest.raises(ContractViolation, match="clock must be monotone"):
+                simulate_application(tiny_app, group, make_technique("FAC"), seed=0)
 
 
 class TestAllocationFeasible:

@@ -45,14 +45,14 @@ class TestAliases:
             {
                 "sim/a.py": (
                     "from ..obs import incr\n"
-                    "from .engine import run\n"
+                    "from .events import run\n"
                     "from .. import obs\n"
                 )
             }
         )
         table = graph.aliases["repro.sim.a"]
         assert table["incr"] == "repro.obs.incr"
-        assert table["run"] == "repro.sim.engine.run"
+        assert table["run"] == "repro.sim.events.run"
         assert table["obs"] == "repro.obs"
 
     def test_package_init_relative_base(self):

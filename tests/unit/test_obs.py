@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import tracemalloc
 
 import pytest
 
@@ -221,6 +222,30 @@ class TestDisabledNoOp:
         obs.observe_value("h", 1.0)
         assert obs.metrics_snapshot() is None
         assert obs.current() is None
+
+    def test_disabled_span_hot_path_allocates_nothing(self):
+        # With observation off the span/event hooks must not allocate:
+        # one global load, one identity check.
+        assert not obs.obs_enabled()
+
+        def hot_path(n: int) -> None:
+            for _ in range(n):
+                with obs.span("bench.case"):
+                    pass
+                obs.event("sim.chunk", 1.0)
+
+        hot_path(100)  # warm any lazy caches
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            hot_path(1000)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before == 0, (
+            f"disabled span/event hot path retained {after - before} bytes "
+            "across 1000 iterations"
+        )
 
 
 class TestSession:

@@ -74,9 +74,7 @@ class TestTimelineFromResult:
         assert timeline.worker_finish_times() == pytest.approx(
             result.worker_finish_times
         )
-        assert timeline.load_imbalance() == pytest.approx(
-            result.load_imbalance()
-        )
+        assert timeline.load_imbalance() == result.load_imbalance()
 
     def test_iterations_and_chunks_conserved(self):
         result = _simulate("FAC")

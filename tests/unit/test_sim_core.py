@@ -1,11 +1,11 @@
-"""Unit tests of the DES substrate (events, engine, worker)."""
+"""Unit tests of the DES substrate (events, worker)."""
 
 import numpy as np
 import pytest
 
 from repro.apps import IterationTimeModel
 from repro.errors import SimulationError
-from repro.sim import Event, EventQueue, SimWorker, Simulator
+from repro.sim import Event, EventQueue, SimWorker
 from repro.system import ConstantAvailability, TraceAvailability
 
 
@@ -66,65 +66,6 @@ class TestEventQueue:
         q.push(2.0, Opaque("last"))
         popped = [q.pop().payload.name for _ in range(len(q))]
         assert popped == ["first", "a", "b", "c", "d", "e", "last"]
-
-
-class TestSimulator:
-    def test_runs_in_order(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(2.0, lambda s: seen.append(("b", s.now)))
-        sim.schedule_at(1.0, lambda s: seen.append(("a", s.now)))
-        sim.run()
-        assert seen == [("a", 1.0), ("b", 2.0)]
-        assert sim.now == 2.0
-        assert sim.events_processed == 2
-
-    def test_callbacks_can_schedule(self):
-        sim = Simulator()
-        seen = []
-
-        def chain(s):
-            seen.append(s.now)
-            if s.now < 3.0:
-                s.schedule_in(1.0, chain)
-
-        sim.schedule_at(0.0, chain)
-        sim.run()
-        assert seen == [0.0, 1.0, 2.0, 3.0]
-
-    def test_run_until(self):
-        sim = Simulator()
-        seen = []
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule_at(t, lambda s: seen.append(s.now))
-        sim.run(until=2.5)
-        assert seen == [1.0, 2.0]
-        assert sim.now == 2.5
-        assert sim.pending == 1
-
-    def test_cannot_schedule_past(self):
-        sim = Simulator()
-        sim.schedule_at(5.0, lambda s: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda s: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1.0, lambda s: None)
-
-    def test_livelock_guard(self):
-        sim = Simulator()
-
-        def forever(s):
-            s.schedule_in(0.0, forever)
-
-        sim.schedule_at(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
 
 
 class TestSimWorker:
