@@ -33,7 +33,9 @@ _RNG_EXEMPT = frozenset({_RNG_MODULE, "exec/seeds.py"})
 _NP_RANDOM_RE = re.compile(r"^(np|numpy)\.random(\.|$)")
 
 #: repro.rng helpers that hand out generators.
-_RNG_HELPERS = frozenset({"make_rng", "ensure_rng", "spawn_rngs", "rng_stream"})
+_RNG_HELPERS = frozenset(
+    {"make_rng", "ensure_rng", "spawn_rngs", "rng_stream", "rng_at"}
+)
 
 #: Parameter names that count as an externally controlled seed path.
 _SEED_PARAM_RE = re.compile(r"^(rng|rngs|seed|seeds)$|_(rng|seed)$")

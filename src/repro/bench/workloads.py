@@ -9,7 +9,9 @@ smoke time, large enough that a real kernel regression moves the number:
 * ``sim-fac`` / ``sim-awf`` / ``sim-chaos`` — the stage-II loop-simulator
   inner loop, non-adaptive, adaptive, and under fault injection;
 * ``stage1-genetic`` — the genetic stage-I search over the paper
-  instance, dominated by the memoized evaluator.
+  instance, dominated by the memoized evaluator;
+* ``cli-startup`` — ``python -m repro tables`` in a fresh interpreter,
+  so a heavy import on the start-up path shows.
 
 Workloads must be **deterministic** (fixed seeds) so history records
 measure the machine, not the workload, and **zero-argument** (the
@@ -18,6 +20,11 @@ registry calls them cold). Importing this module populates
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -139,4 +146,20 @@ def stage1_genetic() -> None:
     )
     GeneticAllocator(population=16, generations=30, rng=_SEED).allocate(
         evaluator
+    )
+
+
+@bench(
+    "cli-startup",
+    tolerance=0.35,
+    description="`python -m repro tables` as a subprocess (start-up included)",
+)
+def cli_startup() -> None:
+    # The child imports this checkout's package and sees no REPRO_*
+    # setting, so it neither traces nor records a run directory.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2])
+    subprocess.run(
+        [sys.executable, "-m", "repro", "tables"],
+        env=env, check=True, stdout=subprocess.DEVNULL,
     )

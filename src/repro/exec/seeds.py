@@ -32,6 +32,8 @@ import hashlib
 
 import numpy as np
 
+from ..rng import rng_at
+
 __all__ = ["SeedTree", "derive_seed", "encode_component"]
 
 #: Number of 32-bit words in a derived seed (128 bits total).
@@ -140,8 +142,12 @@ class SeedTree:
         return value
 
     def rng(self) -> np.random.Generator:
-        """A PCG64 generator seeded at this node."""
-        return np.random.default_rng(self.seed_sequence())
+        """A PCG64 generator seeded at this node.
+
+        The stream of ``default_rng(self.seed_sequence())``, built
+        without converting the spawn key word by word.
+        """
+        return rng_at(self._entropy, self._path)
 
     # -------------------------------------------------------------- plumbing
 

@@ -14,15 +14,52 @@ seeding discipline in one place.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "rng_stream", "ensure_rng"]
+__all__ = ["make_rng", "spawn_rngs", "rng_stream", "ensure_rng", "rng_at"]
 
 #: Default root seed used when a caller does not provide one. Chosen once so
 #: that "no seed given" still yields reproducible library-level defaults.
 DEFAULT_SEED = 20120521  # IPDPS 2012 workshop week
+
+#: ``SeedSequence``'s default pool size, in 32-bit words.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as 32-bit words, low word first; ``[0]`` for zero."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def rng_at(entropy: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """``default_rng(SeedSequence(entropy, spawn_key=spawn_key))``, faster.
+
+    NumPy converts every spawn-key word from a Python int on each call.
+    This hands it the assembled entropy instead, built as
+    ``SeedSequence.get_assembled_entropy`` builds it: the entropy's 32-bit
+    words, zero-padded to the pool size when there is a spawn key, then
+    each key word's 32-bit words. The pool, the state and so every draw
+    are the same.
+    """
+    words = _uint32_words(operator.index(entropy))
+    if spawn_key:
+        words.extend([0] * (_POOL_SIZE - len(words)))
+        for word in spawn_key:
+            words.extend(_uint32_words(word))
+    return np.random.default_rng(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    )
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
@@ -53,8 +90,9 @@ def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
     """
     if n < 0:
         raise ValueError(f"cannot spawn a negative number of streams: {n}")
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    return [np.random.default_rng(child) for child in root.spawn(n)]
+    # The same streams as ``SeedSequence(seed).spawn(n)``.
+    entropy = DEFAULT_SEED if seed is None else seed
+    return [rng_at(entropy, (i,)) for i in range(n)]
 
 
 def rng_stream(seed: int | None) -> Iterator[np.random.Generator]:

@@ -271,10 +271,18 @@ class ResampledAvailability(AvailabilityModel):
 
     def spawn(self, rng=None, *, capacity: float = 1.0) -> AvailabilityProcess:
         gen_rng = ensure_rng(rng)
+        # ``pmf.sample(rng)`` is ``Generator.choice``, which validates ``p``
+        # on every call; this is its arithmetic on a cached CDF, so the
+        # draws are the same.
+        cdf = np.cumsum(self.pmf.probs)
+        cdf /= cdf[-1]
+        bounds = cdf.tolist()
+        levels = self.pmf.values.tolist()
+        interval = self.interval
 
         def gen():
             while True:
-                yield (self.interval, float(self.pmf.sample(gen_rng)))
+                yield (interval, levels[bisect_right(bounds, gen_rng.random())])
 
         return AvailabilityProcess(gen(), capacity=capacity)
 

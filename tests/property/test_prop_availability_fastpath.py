@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.pmf import PMF
+from repro.rng import ensure_rng
 from repro.system import (
     ConstantAvailability,
     ResampledAvailability,
@@ -177,3 +178,23 @@ def test_fast_path_keeps_input_checks(start, works, match):
     proc = ConstantAvailability(0.5).spawn()
     with pytest.raises(SimulationError, match=match):
         proc.finish_times(start, np.array(works))
+
+
+@st.composite
+def availability_pmfs(draw):
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(levels, min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    return PMF(values, [w / total for w in weights], normalize=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(availability_pmfs(), st.integers(0, 2**64), st.floats(0.5, 50.0))
+def test_resampled_levels_are_pmf_sample_draws(pmf, seed, interval):
+    """The cached-CDF draw equals ``pmf.sample`` (``Generator.choice``)."""
+    process = ResampledAvailability(pmf, interval=interval).spawn(seed)
+    rng = ensure_rng(seed)
+    for k in range(40):
+        want = min(float(pmf.sample(rng)), 1.0)
+        assert process.level_at((k + 0.5) * interval) == want

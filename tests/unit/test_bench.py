@@ -99,6 +99,7 @@ class TestBenchRegistry:
             "sim-awf",
             "sim-chaos",
             "stage1-genetic",
+            "cli-startup",
         } <= set(names)
         assert all(spec.description for spec in all_benchmarks())
 
