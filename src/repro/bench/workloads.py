@@ -8,6 +8,8 @@ smoke time, large enough that a real kernel regression moves the number:
   (the outer-product combine the vectorization work will rewrite);
 * ``sim-fac`` / ``sim-awf`` / ``sim-chaos`` — the stage-II loop-simulator
   inner loop, non-adaptive, adaptive, and under fault injection;
+* ``sim-grid`` — the stage-II grid path: four techniques run against each
+  replication's shared world under fault injection;
 * ``stage1-genetic`` — the genetic stage-I search over the paper
   instance, dominated by the memoized evaluator;
 * ``cli-startup`` — ``python -m repro tables`` in a fresh interpreter,
@@ -32,7 +34,12 @@ from ..apps import Application, normal_exectime_model
 from ..dls import make_technique
 from ..faults import FaultPlan
 from ..pmf import PMF, convolve_many, effective_completion_pmf, percent_availability
-from ..sim import LoopSimConfig, replicate_application
+from ..sim import (
+    LoopSimConfig,
+    replicate_application,
+    replication_seeds,
+    run_replication_grid,
+)
 from ..system import HeterogeneousSystem, ProcessorGroup, ProcessorType
 from .registry import bench
 
@@ -63,15 +70,15 @@ def make_sim_workload(
     return app, system.group("t", workers)
 
 
+def _sim_config(faults: FaultPlan | None) -> LoopSimConfig:
+    if faults is None:
+        return _SIM_CONFIG
+    return LoopSimConfig(overhead=1.0, availability_interval=500.0, faults=faults)
+
+
 def _replicate(technique: str, *, faults: FaultPlan | None = None) -> None:
     app, group = make_sim_workload()
-    config = (
-        _SIM_CONFIG
-        if faults is None
-        else LoopSimConfig(
-            overhead=1.0, availability_interval=500.0, faults=faults
-        )
-    )
+    config = _sim_config(faults)
     replicate_application(
         app,
         group,
@@ -131,6 +138,22 @@ def sim_awf() -> None:
 )
 def sim_chaos() -> None:
     _replicate("FAC", faults=FaultPlan.chaos(1e-3))
+
+
+@bench(
+    "sim-grid",
+    tolerance=0.35,
+    description="8 replications of FAC/WF/AWF-B/AF on shared worlds, chaos mode",
+)
+def sim_grid() -> None:
+    app, group = make_sim_workload()
+    run_replication_grid(
+        app,
+        group,
+        [make_technique(name) for name in ("FAC", "WF", "AWF-B", "AF")],
+        replication_seeds(_SEED, 8),
+        config=_sim_config(FaultPlan.chaos(1e-3)),
+    )
 
 
 @bench(

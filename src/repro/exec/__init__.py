@@ -37,7 +37,7 @@ from .backends import (
 )
 from .seeds import SeedTree, derive_seed, encode_component
 from .stage1 import evaluate_allocations
-from .tasks import Assignment, CandidateEvalTask, ReplicateTask, Task
+from .tasks import Assignment, CandidateEvalTask, ReplicateTask, Task, split_seeds
 
 __all__ = [
     "ENV_WORKERS",
@@ -56,4 +56,5 @@ __all__ = [
     "evaluate_allocations",
     "get_backend",
     "parse_workers",
+    "split_seeds",
 ]

@@ -10,9 +10,9 @@ invisible in the results.
 Two task families cover the pipeline's embarrassingly parallel hot
 loops:
 
-* :class:`ReplicateTask` — one stage-II grid cell: ``len(seeds)``
-  independent loop-scheduling simulations of one application on one
-  group under one DLS technique;
+* :class:`ReplicateTask` — a chunk of one application's stage-II
+  replications: every DLS technique of the grid run on each of
+  ``len(seeds)`` realized worlds of one application on one group;
 * :class:`CandidateEvalTask` — a chunk of stage-I candidate
   allocations scored against a (batch, system, deadline) triple.
 
@@ -36,6 +36,7 @@ __all__ = [
     "Task",
     "ReplicateTask",
     "CandidateEvalTask",
+    "split_seeds",
     "Assignment",
     "encode_assignments",
 ]
@@ -55,32 +56,47 @@ class Task(Protocol):
 
 @dataclass(frozen=True)
 class ReplicateTask:
-    """One stage-II grid cell: replicated simulations of one application.
+    """Replicated simulations of one application under several techniques.
 
     ``seeds`` carries one pre-derived integer seed per replication (from
     the :mod:`repro.exec.seeds` tree), so the task is deterministic no
     matter which process executes it and replication ``r`` never depends
-    on how the replications were split across tasks.
+    on how the replications were split across tasks. Each seed's world is
+    realized once and run by every technique in ``techniques``.
 
     ``tag`` is an opaque routing key the submitter uses to place the
-    result back into its grid (e.g. ``(case, technique, app)``).
+    result back into its grid (e.g. ``(case, app)``).
     """
 
     app: "Application"
     group: "ProcessorGroup"
-    technique: "DLSTechnique"
+    techniques: "tuple[DLSTechnique, ...]"
     seeds: tuple[int, ...]
     config: "LoopSimConfig | None" = None
     tag: tuple[str, ...] = ()
 
-    def run(self) -> tuple[float, ...]:
-        """The cell's makespans, one per seed, in seed order."""
-        from ..sim.loopsim import run_seeded_replications
+    def run(self) -> tuple[tuple[float, ...], ...]:
+        """Makespans per technique (in ``techniques`` order), in seed order."""
+        from ..sim.loopsim import run_replication_grid
 
-        return run_seeded_replications(
-            self.app, self.group, self.technique, self.seeds,
+        return run_replication_grid(
+            self.app, self.group, self.techniques, self.seeds,
             config=self.config,
         )
+
+
+def split_seeds(
+    seeds: tuple[int, ...], workers: int
+) -> list[tuple[int, ...]]:
+    """Split replication seeds into consecutive chunks, one task each.
+
+    One chunk for a single worker; otherwise ``min(len(seeds), 2 * workers)``
+    near-equal chunks, so a pool has work to balance without paying one
+    task per replication.
+    """
+    n_chunks = 1 if workers <= 1 else min(len(seeds), 2 * workers)
+    bounds = [(len(seeds) * k) // n_chunks for k in range(n_chunks + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ from collections.abc import Mapping, Sequence
 from ..apps import Batch
 from ..dls import DLSTechnique, make_technique
 from ..errors import ModelError
-from ..exec import ExecutionBackend, ReplicateTask, SeedTree, get_backend
+from ..exec import (
+    ExecutionBackend,
+    ReplicateTask,
+    SeedTree,
+    get_backend,
+    split_seeds,
+)
 from ..metrics import summary_statistic
 from ..obs import incr, obs_enabled, span
 from ..ra import Allocation
@@ -170,21 +176,25 @@ class DLSStudy:
         *runtime* availability PMFs (same structure as the stage-I system).
         ``techniques`` are technique names or instances. ``backend``
         defaults to :func:`repro.exec.get_backend` (``REPRO_WORKERS``
-        selects a process pool); each case's cells are submitted as one
-        batch of :class:`~repro.exec.tasks.ReplicateTask` descriptions,
-        and since every cell carries pre-derived seeds the grid is
-        bit-for-bit identical on every backend.
+        selects a process pool); each case is submitted as one batch of
+        :class:`~repro.exec.tasks.ReplicateTask` descriptions, one per
+        (application, seed chunk) with every technique in it (one chunk
+        on a serial backend, :func:`~repro.exec.tasks.split_seeds` on a
+        pool), and since every replication carries a pre-derived seed the
+        grid is bit-for-bit identical on every backend.
 
         Cell seeds are derived from the technique-*invariant* tree path
         ``("cell", case, app)``: all techniques see the same availability
         realizations per (case, app) — the paper's common-random-numbers
         comparison — while different cases and apps draw independently.
+        Each replication's world is realized once and run by every
+        technique (see :class:`~repro.sim.ReplicationWorld`).
         """
         if not cases:
             raise ModelError("a study needs at least one availability case")
-        tech_objs: list[DLSTechnique] = [
+        tech_objs: tuple[DLSTechnique, ...] = tuple(
             make_technique(t) if isinstance(t, str) else t for t in techniques
-        ]
+        )
         if not tech_objs:
             raise ModelError("a study needs at least one DLS technique")
         if backend is None:
@@ -200,41 +210,46 @@ class DLSStudy:
             raw[case_id] = {t.name: {} for t in tech_objs}
             with span("study.case", case=case_id):
                 tasks: list[ReplicateTask] = []
-                for tech in tech_objs:
-                    for app in self._batch:
-                        group = self._allocation.group(app.name)
-                        # The runtime group carries the *case* availability.
-                        runtime_group = case_system.group(
-                            group.ptype.name, group.size
-                        )
-                        cell_seed = tree.child(
-                            "cell", case_id, app.name
-                        ).seed()
-                        tasks.append(
-                            ReplicateTask(
-                                app=app,
-                                group=runtime_group,
-                                technique=tech,
-                                seeds=replication_seeds(
-                                    cell_seed, config.replications
-                                ),
-                                config=config.sim,
-                                tag=(case_id, tech.name, app.name),
-                            )
-                        )
-                for task, makespans in zip(tasks, backend.run_tasks(tasks)):
-                    _, tech_name, app_name = task.tag
-                    reps = ReplicatedAppStats(
-                        app_name=app_name,
-                        technique=tech_name,
-                        makespans=tuple(makespans),
+                for app in self._batch:
+                    group = self._allocation.group(app.name)
+                    # The runtime group carries the *case* availability.
+                    runtime_group = case_system.group(
+                        group.ptype.name, group.size
                     )
-                    raw[case_id][tech_name][app_name] = reps
-                    stats[case_id][tech_name][app_name] = summary_statistic(
-                        reps.makespans, config.statistic
-                    )
-                    if obs_enabled():
-                        incr("study.cells")
+                    cell_seed = tree.child("cell", case_id, app.name).seed()
+                    seeds = replication_seeds(cell_seed, config.replications)
+                    tasks += [
+                        ReplicateTask(
+                            app=app,
+                            group=runtime_group,
+                            techniques=tech_objs,
+                            seeds=chunk,
+                            config=config.sim,
+                            tag=(case_id, app.name),
+                        )
+                        for chunk in split_seeds(seeds, backend.workers)
+                    ]
+                # Per app, one makespan list per technique, filled in
+                # seed-chunk order.
+                columns: dict[str, list[list[float]]] = {}
+                for task, grid in zip(tasks, backend.run_tasks(tasks)):
+                    _, app_name = task.tag
+                    cols = columns.setdefault(app_name, [[] for _ in tech_objs])
+                    for col, makespans in zip(cols, grid):
+                        col.extend(makespans)
+                for app_name, cols in columns.items():
+                    for tech, makespans in zip(tech_objs, cols):
+                        reps = ReplicatedAppStats(
+                            app_name=app_name,
+                            technique=tech.name,
+                            makespans=tuple(makespans),
+                        )
+                        raw[case_id][tech.name][app_name] = reps
+                        stats[case_id][tech.name][app_name] = summary_statistic(
+                            reps.makespans, config.statistic
+                        )
+                        if obs_enabled():
+                            incr("study.cells")
         return StudyResult(
             config=config,
             case_ids=tuple(cases),

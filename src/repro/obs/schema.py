@@ -227,7 +227,10 @@ SPANS: tuple[SpanSpec, ...] = (
     SpanSpec("cdsf.stage_i", "stage-I resource-allocation search"),
     SpanSpec("cdsf.stage_ii", "stage-II simulation grid"),
     SpanSpec("study.case", "one availability case of the study grid"),
-    SpanSpec("sim.replicate", "replicated simulations of one app"),
+    SpanSpec(
+        "sim.replicate",
+        "one replication task: an app's seeds, every technique per world",
+    ),
     SpanSpec("sim.app", "one application simulation"),
     SpanSpec("bench.case", "one benchmark case measurement"),
 )

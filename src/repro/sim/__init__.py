@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate for stage II."""
 
 from .events import Event, EventQueue
-from .worker import SimWorker, ChunkExecution
+from .worker import SimWorker, ChunkExecution, IterationStream
 from .results import (
     ChunkRecord,
     MasterFailover,
@@ -13,10 +13,12 @@ from .results import (
 from .loopsim import (
     LoopSimConfig,
     ParallelLoopResult,
+    ReplicationWorld,
     run_parallel_loop,
     simulate_application,
     replicate_application,
     replication_seeds,
+    run_replication_grid,
     run_seeded_replications,
     DEFAULT_OVERHEAD,
     DEFAULT_AVAIL_INTERVAL,
@@ -34,6 +36,7 @@ __all__ = [
     "EventQueue",
     "SimWorker",
     "ChunkExecution",
+    "IterationStream",
     "ChunkRecord",
     "MasterFailover",
     "AppRunResult",
@@ -42,10 +45,12 @@ __all__ = [
     "ReplicatedBatchStats",
     "LoopSimConfig",
     "ParallelLoopResult",
+    "ReplicationWorld",
     "run_parallel_loop",
     "simulate_application",
     "replicate_application",
     "replication_seeds",
+    "run_replication_grid",
     "run_seeded_replications",
     "TimestepResult",
     "TimesteppedRunResult",

@@ -11,10 +11,17 @@ Every dispatch pays a wall-clock scheduling ``overhead`` (master round-trip)
 before the chunk starts computing; each processor's compute rate is
 modulated by its realized availability process, so a chunk started under
 full availability slows down if availability drops mid-chunk.
+
+Stage II compares techniques under one realized availability (common random
+numbers), so the randomness of a replication is realized once as a
+:class:`ReplicationWorld` and every technique runs against it:
+:func:`run_replication_grid` loops over seeds, then techniques, and each
+run is one :func:`simulate_application` call on the shared world.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +36,7 @@ from ..dls import DLSTechnique, SchedulingSession, WorkerState
 from ..errors import SimulationError
 from ..exec.backends import ExecutionBackend, SerialBackend
 from ..exec.seeds import SeedTree
-from ..exec.tasks import ReplicateTask
+from ..exec.tasks import ReplicateTask, split_seeds
 from ..faults import FaultInjector, FaultPlan, degraded_boundaries
 from ..obs import event as obs_event
 from ..obs import incr, obs_enabled, observe_value, span
@@ -46,10 +53,12 @@ from .worker import SimWorker
 __all__ = [
     "LoopSimConfig",
     "ParallelLoopResult",
+    "ReplicationWorld",
     "run_parallel_loop",
     "simulate_application",
     "replicate_application",
     "replication_seeds",
+    "run_replication_grid",
     "run_seeded_replications",
 ]
 
@@ -129,7 +138,7 @@ def _build_workers(
             availability=models[i].spawn(
                 streams[2 * i], capacity=group.ptype.capacity
             ),
-            rng=streams[2 * i + 1],
+            stream=streams[2 * i + 1],
         )
         for i in range(n)
     ]
@@ -405,6 +414,54 @@ def run_parallel_loop(
     )
 
 
+@dataclass(frozen=True)
+class ReplicationWorld:
+    """The randomness of one replication, realized once for every technique.
+
+    A world holds what does not depend on the DLS technique: each worker's
+    availability process and iteration stream (``workers``, positioned
+    after the serial phase), the realized faults (``injector``) and the
+    serial phase itself (its master and ``serial_end``). It is read-only
+    apart from lazy extension, and every extension is a pure function of
+    the seed, so runs sharing a world see exactly the bits a fresh
+    realization would give them, in any order. A run owns only its forks
+    of the workers (its cursors), its worker states and its session.
+    """
+
+    workers: tuple[SimWorker, ...]
+    injector: FaultInjector | None
+    serial_end: float
+    master_id: int | None
+
+    @classmethod
+    def realize(
+        cls,
+        app: Application,
+        group: ProcessorGroup,
+        *,
+        seed: int | None,
+        config: LoopSimConfig,
+        availability: AvailabilityModel | list[AvailabilityModel] | None = None,
+    ) -> ReplicationWorld:
+        """Realize the world of ``app`` on ``group`` for one seed."""
+        workers = _build_workers(group, availability, config, seed)
+        # A zero-rate plan realizes no injector at all, so it takes exactly
+        # the fault-free code path (bit-for-bit identical results).
+        injector: FaultInjector | None = None
+        if config.faults is not None and not config.faults.is_zero:
+            injector = config.faults.realize(seed, group.size)
+        serial_end = 0.0
+        master_id: int | None = None
+        if config.include_serial and app.n_serial > 0:
+            serial_model = app.serial_iteration_model(group.ptype.name)
+            if serial_model is not None:
+                master = _pick_master(workers, config.master_policy, 0.0)
+                master_id = master.worker_id
+                execution = master.execute_chunk(0.0, app.n_serial, serial_model)
+                serial_end = execution.finish_time
+        return cls(tuple(workers), injector, serial_end, master_id)
+
+
 def simulate_application(
     app: Application,
     group: ProcessorGroup,
@@ -413,6 +470,7 @@ def simulate_application(
     seed: int | None = None,
     config: LoopSimConfig | None = None,
     availability: AvailabilityModel | list[AvailabilityModel] | None = None,
+    world: ReplicationWorld | None = None,
 ) -> AppRunResult:
     """Simulate one execution of ``app`` on ``group`` under ``technique``.
 
@@ -420,6 +478,11 @@ def simulate_application(
     group's availability PMF re-sampled every ``config.availability_interval``
     time units). Pass per-worker ``TraceAvailability`` models to replay a
     frozen realization across techniques.
+
+    ``world`` runs the technique against a world already realized for
+    this ``app``, ``group`` and ``config`` (see
+    :meth:`ReplicationWorld.realize`); ``seed`` and ``availability`` are
+    then unused. Without it the world is realized from ``seed``.
 
     Returns an :class:`~repro.sim.results.AppRunResult`; its ``makespan``
     includes the serial phase (if enabled) and the full parallel loop.
@@ -434,10 +497,11 @@ def simulate_application(
         group_size=group.size,
         faults=faulty,
     ) as sp:
-        result = _simulate_application(
-            app, group, technique, seed=seed, config=config,
-            availability=availability,
-        )
+        if world is None:
+            world = ReplicationWorld.realize(
+                app, group, seed=seed, config=config, availability=availability
+            )
+        result = _run_technique(app, group, technique, world, config)
         # Post-hoc attributes: the timeline builder needs the loop start
         # (serial_time) to reproduce worker finish times exactly.
         sp.set(
@@ -457,35 +521,21 @@ def simulate_application(
     return result
 
 
-def _simulate_application(
+def _run_technique(
     app: Application,
     group: ProcessorGroup,
     technique: DLSTechnique,
-    *,
-    seed: int | None,
+    world: ReplicationWorld,
     config: LoopSimConfig,
-    availability: AvailabilityModel | list[AvailabilityModel] | None,
 ) -> AppRunResult:
-    workers = _build_workers(group, availability, config, seed)
+    """One technique's parallel loop on fresh forks of the world's workers."""
+    if len(world.workers) != group.size:
+        raise SimulationError(
+            f"world has {len(world.workers)} workers, group has {group.size}"
+        )
+    workers = [w.fork() for w in world.workers]
     type_name = group.ptype.name
-    # A zero-rate plan realizes no injector at all, so it takes exactly
-    # the fault-free code path (bit-for-bit identical results).
-    injector: FaultInjector | None = None
-    if config.faults is not None and not config.faults.is_zero:
-        injector = config.faults.realize(seed, group.size)
-
-    # ----------------------------------------------------------- serial phase
-    serial_end = 0.0
-    master_id: int | None = None
-    if config.include_serial and app.n_serial > 0:
-        serial_model = app.serial_iteration_model(type_name)
-        if serial_model is not None:
-            master = _pick_master(workers, config.master_policy, 0.0)
-            master_id = master.worker_id
-            execution = master.execute_chunk(0.0, app.n_serial, serial_model)
-            serial_end = execution.finish_time
-
-    # --------------------------------------------------------- parallel phase
+    injector = world.injector
     par_model = app.parallel_iteration_model(type_name)
     states = [
         WorkerState(
@@ -498,8 +548,8 @@ def _simulate_application(
     session = technique.session(app.n_parallel, states)
     session.label = technique.name
     loop = run_parallel_loop(
-        workers, session, par_model, serial_end, config,
-        injector=injector, master_id=master_id,
+        workers, session, par_model, world.serial_end, config,
+        injector=injector, master_id=world.master_id,
     )
 
     if loop.executed != app.n_parallel:
@@ -514,18 +564,18 @@ def _simulate_application(
     if injector is not None and obs_enabled():
         incr("faults.injected", float(len(loop.crashed) + loop.degradations))
         incr("faults.rescheduled", float(loop.rescheduled))
-    makespan = max([serial_end, *(c.finish_time for c in loop.chunks)])
+    makespan = max([world.serial_end, *(c.finish_time for c in loop.chunks)])
     return AppRunResult(
         app_name=app.name,
         technique=technique.name,
         group_type=type_name,
         group_size=group.size,
-        serial_time=serial_end,
+        serial_time=world.serial_end,
         makespan=makespan,
         chunks=tuple(loop.chunks),
         worker_finish_times=loop.finish_times,
         iterations_executed=loop.executed,
-        master_id=loop.master_id if injector is not None else master_id,
+        master_id=loop.master_id if injector is not None else world.master_id,
         crashed_workers=loop.crashed,
         rescheduled_iterations=loop.rescheduled,
         degradations_applied=loop.degradations,
@@ -549,6 +599,45 @@ def replication_seeds(seed: int | None, replications: int) -> tuple[int, ...]:
     return tuple(tree.child("rep", r).seed() for r in range(replications))
 
 
+def run_replication_grid(
+    app: Application,
+    group: ProcessorGroup,
+    techniques: Sequence[DLSTechnique],
+    seeds: tuple[int, ...],
+    *,
+    config: LoopSimConfig | None = None,
+    availability: AvailabilityModel | list[AvailabilityModel] | None = None,
+) -> tuple[tuple[float, ...], ...]:
+    """Makespans of every technique on every seed: ``[technique][seed]``.
+
+    Each seed's :class:`ReplicationWorld` is realized once and every
+    technique runs against it, so all techniques see the same availability,
+    faults and iteration times (common random numbers) at the cost of one
+    realization. Seeds are the outer loop: one world is alive at a time.
+    This is the body of the serial path of :func:`replicate_application`
+    and of :meth:`repro.exec.tasks.ReplicateTask.run`, which is what
+    guarantees backends agree bit for bit.
+    """
+    config = config or LoopSimConfig()
+    makespans: list[list[float]] = [[] for _ in techniques]
+    with span(
+        "sim.replicate",
+        app=app.name,
+        techniques=",".join(t.name for t in techniques),
+        replications=len(seeds),
+    ):
+        for s in seeds:
+            world = ReplicationWorld.realize(
+                app, group, seed=s, config=config, availability=availability
+            )
+            for technique, out in zip(techniques, makespans):
+                result = simulate_application(
+                    app, group, technique, config=config, world=world
+                )
+                out.append(result.makespan)
+    return tuple(tuple(m) for m in makespans)
+
+
 def run_seeded_replications(
     app: Application,
     group: ProcessorGroup,
@@ -560,29 +649,12 @@ def run_seeded_replications(
 ) -> tuple[float, ...]:
     """Makespans of one simulation per pre-derived seed, in seed order.
 
-    This is the body shared by the serial loop in
-    :func:`replicate_application` and the pool-side
-    :meth:`repro.exec.tasks.ReplicateTask.run`, which is what guarantees
-    backends agree bit for bit.
+    The one-technique case of :func:`run_replication_grid`.
     """
-    makespans = []
-    with span(
-        "sim.replicate",
-        app=app.name,
-        technique=technique.name,
-        replications=len(seeds),
-    ):
-        for s in seeds:
-            result = simulate_application(
-                app,
-                group,
-                technique,
-                seed=s,
-                config=config,
-                availability=availability,
-            )
-            makespans.append(result.makespan)
-    return tuple(makespans)
+    (makespans,) = run_replication_grid(
+        app, group, (technique,), seeds, config=config, availability=availability
+    )
+    return makespans
 
 
 def replicate_application(
@@ -602,9 +674,10 @@ def replicate_application(
     ``seed=None`` means fresh entropy, an explicit seed is fully
     reproducible. With a parallel ``backend`` (and the default runtime
     availability model) the replications are split into
-    :class:`~repro.exec.tasks.ReplicateTask` chunks; because every
-    replication carries its own pre-derived seed, the results are
-    identical to the serial loop.
+    :class:`~repro.exec.tasks.ReplicateTask` seed chunks
+    (:func:`~repro.exec.tasks.split_seeds`); because every replication
+    carries its own pre-derived seed, the results are identical to the
+    serial loop.
     """
     seeds = replication_seeds(seed, replications)
     if (
@@ -619,23 +692,18 @@ def replicate_application(
             config=config, availability=availability,
         )
     else:
-        n_chunks = min(replications, backend.workers * 2)
-        bounds = [
-            (replications * k) // n_chunks for k in range(n_chunks + 1)
-        ]
         tasks = [
             ReplicateTask(
                 app=app,
                 group=group,
-                technique=technique,
-                seeds=seeds[lo:hi],
+                techniques=(technique,),
+                seeds=chunk,
                 config=config,
             )
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
+            for chunk in split_seeds(seeds, backend.workers)
         ]
         makespans = tuple(
-            m for chunk in backend.run_tasks(tasks) for m in chunk
+            m for (chunk,) in backend.run_tasks(tasks) for m in chunk
         )
     return ReplicatedAppStats(
         app_name=app.name,

@@ -172,15 +172,17 @@ class AvailabilityProcess:
         rate = self._capacity * self._levels[k]
         if total <= rate * (self._ends[k] - start):
             return start + works / rate
-        # Materialize segments through the overall finish.
+        # Materialize segments through the overall finish, and use only
+        # those: segments materialized further by earlier queries must not
+        # change the answer (processes are shared by the runs of one world).
         overall_finish = self.finish_time(start, total)
         self._extend_to(overall_finish)
+        stop = bisect_right(self._ends, overall_finish) + 1
         ends, levels = self._as_arrays()
-        rates = self._capacity * levels
         # Cumulative work delivered by each segment end (from `start` on);
         # extending the timeline only appends, so `k` still holds `start`.
-        seg_ends = ends[k:]
-        seg_rates = rates[k:]
+        seg_ends = ends[k:stop]
+        seg_rates = self._capacity * levels[k:stop]
         starts = np.concatenate(([start], seg_ends[:-1]))
         seg_work = seg_rates * (seg_ends - starts)
         cum_work = np.concatenate(([0.0], np.cumsum(seg_work)))

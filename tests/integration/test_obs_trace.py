@@ -72,7 +72,8 @@ class TestTracedRun:
             assert replicate["name"] == "sim.replicate"
             case = spans[replicate["parent"]]
             assert case["name"] == "study.case"
-            assert app["attrs"]["technique"] == replicate["attrs"]["technique"]
+            techniques = replicate["attrs"]["techniques"].split(",")
+            assert app["attrs"]["technique"] in techniques
 
     def test_per_technique_chunk_counters(self, traced_run):
         _, records, snapshot = traced_run

@@ -98,6 +98,7 @@ class TestBenchRegistry:
             "sim-fac",
             "sim-awf",
             "sim-chaos",
+            "sim-grid",
             "stage1-genetic",
             "cli-startup",
         } <= set(names)

@@ -140,10 +140,10 @@ class TestTaskPickling:
         task = ReplicateTask(
             app=tiny_app,
             group=dedicated_system.group("fast", 4),
-            technique=make_technique("FAC"),
+            techniques=(make_technique("FAC"),),
             seeds=replication_seeds(7, 3),
             config=LoopSimConfig(overhead=0.5),
-            tag=("case1", "FAC", "tiny"),
+            tag=("case1", "tiny"),
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.run() == task.run()

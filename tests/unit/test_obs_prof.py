@@ -315,7 +315,9 @@ class TestSamplingProfiler:
     def test_stop_returns_weighted_profile(self):
         profiler = SamplingProfiler(interval=0.001)
         profiler.start()
-        while profiler.samples < 3:
+        # Poll the plain attribute: the ``samples`` property is a repro
+        # frame, so a sample could land in it instead of OTHER_FRAME.
+        while profiler._samples < 3:
             sum(range(500))
         profile = profiler.stop()
         assert profile.total_weight == pytest.approx(

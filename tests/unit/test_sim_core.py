@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import IterationTimeModel
 from repro.errors import SimulationError
-from repro.sim import Event, EventQueue, SimWorker
+from repro.sim import Event, EventQueue, IterationStream, SimWorker
 from repro.system import ConstantAvailability, TraceAvailability
 
 
@@ -118,3 +118,24 @@ class TestSimWorker:
         rb = b.execute_chunk(0.0, 50, model)
         assert ra.finish_time == rb.finish_time
         assert np.array_equal(ra.iteration_wall_times, rb.iteration_wall_times)
+
+    def test_forks_replay_the_shared_stream(self):
+        model = IterationTimeModel(mean=1.0, cv=0.5)
+        origin = SimWorker(0, ConstantAvailability(1.0).spawn(), np.random.default_rng(3))
+        origin.execute_chunk(0.0, 7, model)
+        first, second = origin.fork(), origin.fork()
+        ra = first.execute_chunk(0.0, 30, model)
+        rb = second.execute_chunk(0.0, 30, model)
+        assert (first.cursor, second.cursor, origin.cursor) == (37, 37, 7)
+        assert origin.stream.filled == 37
+        assert np.array_equal(ra.iteration_wall_times, rb.iteration_wall_times)
+
+
+class TestIterationStream:
+    def test_taken_times_are_read_only(self):
+        stream = IterationStream(np.random.default_rng(0))
+        times = stream.take(0, 5, IterationTimeModel(mean=1.0, cv=0.5))
+        with pytest.raises(ValueError):
+            times[0] = 0.0
+        # Extending the stream afterwards still works.
+        assert len(stream.take(3, 10, IterationTimeModel(mean=1.0, cv=0.5))) == 10
